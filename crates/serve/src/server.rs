@@ -1028,13 +1028,18 @@ impl EventLoop<'_> {
                         .record_coalesced(route, resp.status, w.enqueued.elapsed());
                 }
                 let mut tr = PendingTrace::new(w.id, route.label(), w.t_start, w.parse_us);
-                tr.eval_us = eval_us;
+                // A joiner that arrived mid-evaluation waited only for
+                // the part of it after its own parse: the eval span is
+                // clipped to this waiter's lifetime since parsing, so the
+                // spans stay contiguous and sum to its own total.
+                let lived_us = tr.elapsed_us().saturating_sub(w.parse_us);
+                tr.eval_us = eval_us.min(lived_us);
                 tr.eval_hits = eval_hits;
                 tr.eval_misses = eval_misses;
                 // Queue span by contiguity: everything between the end
                 // of parsing and the worker's evaluation is time this
                 // waiter spent on the pool (dispatch + completion queues).
-                tr.queue_us = tr.elapsed_us().saturating_sub(w.parse_us + eval_us);
+                tr.queue_us = lived_us - tr.eval_us;
                 let bytes = resp.to_bytes_with_id(w.keep_alive, Some(&tr.id));
                 tr.mark_serialized(resp.status, if i > 0 { "coalesce_join" } else { outcome });
                 self.fill_slot(w.conn, w.gen, w.seq, bytes, Some(tr));

@@ -15,7 +15,8 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::time::{Duration, Instant};
 
 use hl_bench::{registered_names, SweepContext};
 use hl_serve::api::{
@@ -23,6 +24,8 @@ use hl_serve::api::{
 };
 use hl_serve::client::{get_json, post_json, request, Client};
 use hl_serve::json::Json;
+use hl_serve::log::Level;
+use hl_serve::metrics::Route;
 use hl_serve::server::{Server, ServerConfig, ServerHandle};
 use hl_sim::engine::Engine;
 use hl_tensor::GemmShape;
@@ -287,6 +290,152 @@ fn identical_inflight_posts_coalesce_into_one_evaluation() {
     assert_eq!(payload.len(), 4, "{text}");
     assert!(payload.iter().all(|p| p == &payload[0]));
 
+    server.stop().unwrap();
+}
+
+/// A log sink that parks the logging thread on chosen request ids: it
+/// reports the id, then blocks until the test releases it. Request logs
+/// are written by the event loop, so this is a barrier on the loop.
+struct ParkingSink {
+    ids: &'static [&'static str],
+    parked: Sender<&'static str>,
+    release: Receiver<()>,
+}
+
+impl Write for ParkingSink {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        let line = String::from_utf8_lossy(data);
+        if let Some(id) = self
+            .ids
+            .iter()
+            .find(|id| line.contains(&format!("\"trace_id\":\"{id}\"")))
+        {
+            // A test that fails mid-way must not wedge the server.
+            if self.parked.send(id).is_ok() {
+                let _ = self.release.recv_timeout(Duration::from_secs(30));
+            }
+        }
+        Ok(data.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Reads one keep-alive response (headers plus a `Content-Length` body).
+fn read_response(stream: &mut TcpStream) -> String {
+    let mut buf = Vec::new();
+    let mut byte = [0u8; 1];
+    while !buf.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("response headers");
+        buf.push(byte[0]);
+    }
+    let head = String::from_utf8_lossy(&buf).into_owned();
+    let len = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .expect("Content-Length header");
+    let mut body = vec![0u8; len];
+    stream.read_exact(&mut body).expect("response body");
+    head + &String::from_utf8_lossy(&body)
+}
+
+#[test]
+fn coalesced_joiner_spans_sum_to_its_own_total() {
+    let server = spawn_server();
+    let addr = server.addr().to_string();
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    server.app().logger().set_sink(Box::new(ParkingSink {
+        ids: &["hold-1", "hold-2"],
+        parked: parked_tx,
+        release: release_rx,
+    }));
+    server.app().logger().set_level(Level::Debug);
+    let get =
+        |id: &str| format!("GET /v1/healthz HTTP/1.1\r\nHost: t\r\nX-Request-Id: {id}\r\n\r\n");
+    let body = r#"{"design":"HighLight","model":"DeiT-small","pruning":{"hss":[[4,8],[2,4]]}}"#;
+    let post = |id: &str| {
+        format!(
+            "POST /v1/evaluate_model HTTP/1.1\r\nHost: t\r\nX-Request-Id: {id}\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    // Three idle keep-alive connections, each already accepted.
+    let mut conns: Vec<TcpStream> = (0..3)
+        .map(|i| {
+            let mut c = TcpStream::connect(&addr).expect("connect");
+            c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            c.write_all(get(&format!("warm-{i}")).as_bytes()).unwrap();
+            assert!(read_response(&mut c).starts_with("HTTP/1.1 200"));
+            c
+        })
+        .collect();
+
+    // Park the loop, then queue the leader (behind an inline GET that
+    // parks the loop again once written) and an identical joiner on a
+    // second connection, so both arrive in the same poll batch.
+    conns[0].write_all(get("hold-1").as_bytes()).unwrap();
+    let wait = Duration::from_secs(30);
+    assert_eq!(parked.recv_timeout(wait), Ok("hold-1"));
+    conns[1]
+        .write_all(format!("{}{}", get("hold-2"), post("leader")).as_bytes())
+        .unwrap();
+    conns[2].write_all(post("joiner").as_bytes()).unwrap();
+    release.send(()).unwrap();
+
+    // The loop has dispatched the leader and parks after writing the
+    // GET. Let the worker finish evaluating before the joiner is
+    // parsed: it then joins a coalition whose evaluation is over.
+    assert_eq!(parked.recv_timeout(wait), Ok("hold-2"));
+    let deadline = Instant::now() + wait;
+    while server.app().metrics().requests_for(Route::EvaluateModel) == 0 {
+        assert!(Instant::now() < deadline, "leader never evaluated");
+        std::thread::yield_now();
+    }
+    release.send(()).unwrap();
+
+    for (conn, want) in [(0, 1), (1, 2), (2, 1)] {
+        for _ in 0..want {
+            assert!(read_response(&mut conns[conn]).starts_with("HTTP/1.1 200"));
+        }
+    }
+    // One more round trip on the joiner's connection: its trace is
+    // recorded by the time the loop answers this.
+    conns[2].write_all(get("after").as_bytes()).unwrap();
+    read_response(&mut conns[2]);
+    assert_eq!(
+        server.app().metrics().coalesced(),
+        1,
+        "the joiner must coalesce"
+    );
+    let traces = server.app().traces().snapshot();
+    let trace = |id: &str| {
+        traces
+            .iter()
+            .find(|t| t.id == id)
+            .unwrap_or_else(|| panic!("trace {id} missing"))
+    };
+    let (leader, joiner) = (trace("leader"), trace("joiner"));
+    assert_eq!(joiner.outcome, "coalesce_join");
+    for t in [leader, joiner] {
+        assert_eq!(
+            t.span_sum_us(),
+            t.total_us,
+            "{}: parse {} + queue {} + eval {} + serialize {} + write {} vs total {}",
+            t.id,
+            t.parse_us,
+            t.queue_us,
+            t.eval_us,
+            t.serialize_us,
+            t.write_us,
+            t.total_us
+        );
+    }
+    assert!(joiner.eval_us <= leader.eval_us);
     server.stop().unwrap();
 }
 

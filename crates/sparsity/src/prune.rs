@@ -45,11 +45,12 @@ pub fn scaled_l2(values: &[f32]) -> f64 {
     (sum_sq(values) / values.len() as f64).sqrt()
 }
 
-/// Reusable selection buffer for the in-place pruning kernels.
+/// Reusable key buffer for the generic selection path.
 ///
-/// One scratch serves every rank of every [`prune_hss`] call on a thread;
-/// sweeps that score thousands of candidate patterns reuse it instead of
-/// reallocating a small vector per (row, group).
+/// Ranks with `H` in `2..=8` select with fixed-size stack arrays and never
+/// touch it; any other `H` sorts one group's packed keys here. One scratch
+/// serves every rank of every [`prune_hss`] call on a thread, so sweeps
+/// scoring many candidate patterns do not reallocate per group.
 #[derive(Debug, Default)]
 pub struct PruneScratch {
     keys: Vec<u128>,
@@ -97,10 +98,21 @@ pub fn prune_rank(m: &Matrix, gh: Gh, granularity: usize) -> Matrix {
 }
 
 /// In-place single-rank pruning — the hot loop under [`prune_hss`], which
-/// pruning runs once per pattern per sweep cell. The kernel works on raw
-/// row slices (one bounds check per row, not per element), compares
-/// blocks by [`sum_sq`] (same selection as scaled-L2, see there), and
-/// zeroes dropped blocks with slice fills.
+/// pruning runs once per pattern per sweep cell.
+///
+/// Within each group, blocks are ranked by (score desc, index asc) and the
+/// first `keep` survive — the "top-k with ties to the lower index"
+/// selection the paper's procedure prescribes. Scores are [`sum_sq`] of
+/// each block (same selection as scaled-L2, see there), mapped through
+/// [`total_cmp_key`] so a corrupt weight's NaN score still ranks
+/// deterministically.
+///
+/// For `H` in `2..=8` (every pattern family and co-design candidate) the
+/// selection is a rank count monomorphised over `H`: block `b` survives
+/// iff fewer than `keep` blocks beat it, which is `H²` integer compares
+/// and no data-dependent branch ([`select_values`], [`select_blocks`]).
+/// Any other `H` takes the generic sort path ([`select_sorted`]), which
+/// selects exactly the same blocks.
 ///
 /// Groups are disjoint and each group is fully scored before any of its
 /// blocks is zeroed, so operating in place scores exactly the values the
@@ -118,57 +130,100 @@ fn prune_rank_in_place(m: &mut Matrix, gh: Gh, granularity: usize, scratch: &mut
         // Every block survives: the selection can drop nothing.
         return;
     }
-    let groups = m.cols() / group;
-    if granularity == 1 && h <= 32 {
-        // Lowest-rank fast path — every pattern's innermost (and most
-        // numerous) selection. Blocks are single values, so the group is
-        // one contiguous slice and the scores are plain squares; keys
-        // live on the stack. The packed order is identical to the
-        // general path below (see the comment there), and a square is
-        // exactly the one-element sum [`sum_sq`] computes.
-        let mut keys = [0u128; 32];
-        for r in 0..m.rows() {
-            let row = m.row_mut(r);
-            for g in 0..groups {
-                let gs = &mut row[g * h..(g + 1) * h];
-                for (b, key) in keys[..h].iter_mut().enumerate() {
-                    let v = f64::from(gs[b]);
-                    *key = (u128::from(!total_cmp_key(v * v)) << 32) | b as u128;
-                }
-                keys[..h].sort_unstable();
-                for &k in &keys[keep..h] {
-                    gs[(k as u32) as usize] = 0.0;
-                }
+    // Rows are contiguous and a multiple of the group long, so the
+    // row-major data splits into whole groups that never straddle rows.
+    let data = m.data_mut();
+    match (h, granularity) {
+        (2, 1) => select_values::<2>(data, keep),
+        (3, 1) => select_values::<3>(data, keep),
+        (4, 1) => select_values::<4>(data, keep),
+        (5, 1) => select_values::<5>(data, keep),
+        (6, 1) => select_values::<6>(data, keep),
+        (7, 1) => select_values::<7>(data, keep),
+        (8, 1) => select_values::<8>(data, keep),
+        (2, _) => select_blocks::<2>(data, keep, granularity),
+        (3, _) => select_blocks::<3>(data, keep, granularity),
+        (4, _) => select_blocks::<4>(data, keep, granularity),
+        (5, _) => select_blocks::<5>(data, keep, granularity),
+        (6, _) => select_blocks::<6>(data, keep, granularity),
+        (7, _) => select_blocks::<7>(data, keep, granularity),
+        (8, _) => select_blocks::<8>(data, keep, granularity),
+        _ => select_sorted(data, h, keep, granularity, scratch),
+    }
+}
+
+/// Whether block `b` of a group with the given score keys survives: fewer
+/// than `keep` blocks beat it under (key desc, index asc). With `H` a
+/// constant the loop unrolls and `j < b` folds away, leaving `H`
+/// branch-free compares.
+#[inline(always)]
+fn survives<const H: usize>(keys: &[u64; H], b: usize, keep: usize) -> bool {
+    let kb = keys[b];
+    let mut beaten = 0;
+    for (j, &kj) in keys.iter().enumerate() {
+        beaten += usize::from((kj > kb) | ((kj == kb) & (j < b)));
+    }
+    beaten < keep
+}
+
+/// Granularity-1 selection: blocks are single values, so a score is the
+/// value's square (exactly the one-element [`sum_sq`]) and a dropped value
+/// is cleared with a bit mask rather than a branch.
+fn select_values<const H: usize>(data: &mut [f32], keep: usize) {
+    let (groups, rest) = data.as_chunks_mut::<H>();
+    debug_assert!(rest.is_empty());
+    for gs in groups {
+        let keys: [u64; H] = std::array::from_fn(|b| {
+            let v = f64::from(gs[b]);
+            total_cmp_key(v * v)
+        });
+        for (b, v) in gs.iter_mut().enumerate() {
+            // All ones keeps the value's bits, zero writes +0.0.
+            let mask = 0u32.wrapping_sub(u32::from(survives(&keys, b, keep)));
+            *v = f32::from_bits(v.to_bits() & mask);
+        }
+    }
+}
+
+/// Selection over child blocks of `granularity` values each (an
+/// intermediate rank): scores are per-block [`sum_sq`], dropped blocks are
+/// zero-filled.
+fn select_blocks<const H: usize>(data: &mut [f32], keep: usize, granularity: usize) {
+    for gs in data.chunks_exact_mut(H * granularity) {
+        let keys: [u64; H] = std::array::from_fn(|b| {
+            total_cmp_key(sum_sq(&gs[b * granularity..(b + 1) * granularity]))
+        });
+        for (b, block) in gs.chunks_exact_mut(granularity).enumerate() {
+            if !survives(&keys, b, keep) {
+                block.fill(0.0);
             }
         }
-        return;
     }
+}
+
+/// Generic selection for any `H`: per group, sorts packed
+/// `(!total_cmp_key(score) << 32) | index` keys ascending — one integer
+/// sort whose order is (score desc, index asc), the low word breaking ties
+/// toward the lower index — and zeroes the blocks after the first `keep`.
+fn select_sorted(
+    data: &mut [f32],
+    h: usize,
+    keep: usize,
+    granularity: usize,
+    scratch: &mut PruneScratch,
+) {
     let keys = &mut scratch.keys;
-    for r in 0..m.rows() {
-        let row = m.row_mut(r);
-        for g in 0..groups {
-            let start = g * group;
-            // Rank blocks by (score desc, index asc); the first `keep`
-            // survive — the same selection `top-k with ties to the lower
-            // index` the paper's procedure prescribes. Packing
-            // `(!total_cmp_key(score) << 32) | index` turns that order
-            // into one ascending integer sort with no comparator
-            // closure: inverting the key bits descends the `total_cmp`
-            // order (so a corrupt weight's NaN score still ranks the
-            // block deterministically instead of panicking a
-            // comparator), and the low word breaks ties toward the
-            // lower index.
-            keys.clear();
-            for b in 0..h {
-                let lo = start + b * granularity;
-                let score = sum_sq(&row[lo..lo + granularity]);
-                keys.push((u128::from(!total_cmp_key(score)) << 32) | b as u128);
-            }
-            keys.sort_unstable();
-            for &k in &keys[keep..] {
-                let lo = start + (k as u32) as usize * granularity;
-                row[lo..lo + granularity].fill(0.0);
-            }
+    for gs in data.chunks_exact_mut(h * granularity) {
+        keys.clear();
+        for b in 0..h {
+            let lo = b * granularity;
+            let score = sum_sq(&gs[lo..lo + granularity]);
+            keys.push((u128::from(!total_cmp_key(score)) << 32) | b as u128);
+        }
+        keys.sort_unstable();
+        for &k in &keys[keep..] {
+            let lo = (k as u32) as usize * granularity;
+            gs[lo..lo + granularity].fill(0.0);
         }
     }
 }
@@ -221,6 +276,12 @@ pub fn prune_hss_ranks_in_place(
     }
 }
 
+/// Bits per digit of [`magnitude_order`]'s radix sort: three passes cover
+/// the 31 magnitude bits.
+const RADIX_BITS: u32 = 11;
+const RADIX_BUCKETS: usize = 1 << RADIX_BITS;
+const RADIX_PASSES: usize = 3;
+
 /// Flat indices of `m` ordered by ascending magnitude (ties keep the lower
 /// index) — the pruning order [`prune_unstructured`] consumes.
 ///
@@ -228,11 +289,16 @@ pub fn prune_hss_ranks_in_place(
 /// sweeps that prune the same matrix at many degrees can compute it once
 /// and replay it through [`prune_unstructured_ordered`].
 ///
+/// It is computed without comparisons: a stable LSD radix sort of the
+/// indices on their 31 magnitude bits, three passes of 11 bits over two
+/// `u32` index buffers.
+///
 /// # Panics
 /// Panics if the matrix holds `u32::MAX` or more elements (the order is
 /// stored as `u32` indices to halve its cache footprint).
 pub fn magnitude_order(m: &Matrix) -> Vec<u32> {
-    let total = m.rows() * m.cols();
+    let data = m.data();
+    let total = data.len();
     assert!(
         total < u32::MAX as usize,
         "matrix too large for u32 pruning order ({total} elements)"
@@ -241,17 +307,40 @@ pub fn magnitude_order(m: &Matrix) -> Vec<u32> {
     // unsigned compare of the raw bit patterns — NaNs sit above +∞ exactly
     // as `total_cmp` orders them, so corrupt weights land at the end of
     // the pruning order (pruned last) rather than panicking a comparator.
-    // Packing `(magnitude bits << 32) | index` makes the whole
-    // (magnitude asc, index asc) order one integer sort with the tiebreak
-    // built into the low word.
-    let mut keys: Vec<u64> = m
-        .data()
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (u64::from(v.to_bits() & 0x7FFF_FFFF) << 32) | i as u64)
-        .collect();
-    keys.sort_unstable();
-    keys.into_iter().map(|k| k as u32).collect()
+    // The order starts as the ascending indices, and a stable LSD radix
+    // sort on those 31 magnitude bits keeps equal magnitudes in index
+    // order, which yields exactly (magnitude asc, index asc).
+    let magnitude = |v: f32| v.to_bits() & 0x7FFF_FFFF;
+    let digit =
+        |k: u32, pass: usize| (k >> (RADIX_BITS * pass as u32)) as usize & (RADIX_BUCKETS - 1);
+    // One scan counts every pass's digits.
+    let mut counts = [[0u32; RADIX_BUCKETS]; RADIX_PASSES];
+    for &v in data {
+        let k = magnitude(v);
+        for (pass, c) in counts.iter_mut().enumerate() {
+            c[digit(k, pass)] += 1;
+        }
+    }
+    let mut order: Vec<u32> = (0..total as u32).collect();
+    let mut moved = vec![0u32; total];
+    for (pass, c) in counts.iter_mut().enumerate() {
+        if c.contains(&(total as u32)) {
+            // Every entry shares this digit: the pass would move nothing.
+            continue;
+        }
+        // Counts become each bucket's next output slot.
+        let mut next = 0;
+        for slot in c.iter_mut() {
+            (*slot, next) = (next, next + *slot);
+        }
+        for &i in &order {
+            let slot = &mut c[digit(magnitude(data[i as usize]), pass)];
+            moved[*slot as usize] = i;
+            *slot += 1;
+        }
+        std::mem::swap(&mut order, &mut moved);
+    }
+    order
 }
 
 /// [`prune_unstructured`] with a precomputed [`magnitude_order`]: zeroes
@@ -414,6 +503,52 @@ mod tests {
         let hss = prune_hss(&wide, &HssPattern::two_rank(Gh::new(1, 2), Gh::new(1, 2)));
         assert!(hss.row(0)[0].is_nan());
         assert_eq!(&hss.row(0)[1..], &[0.0, 0.0, 0.0]);
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The rank-count kernels select exactly the blocks the generic sort
+    /// path selects, bit for bit, for every `G:H` they serve, at
+    /// granularity 1 and wider blocks.
+    #[test]
+    fn rank_count_selection_matches_sorted_path() {
+        let mut scratch = PruneScratch::new();
+        for h in 2..=8u32 {
+            for granularity in [1, 2, 3, 4] {
+                let cols = h as usize * granularity * 3;
+                let m = gen::random_special(16, cols, u64::from(h) * 31 + granularity as u64);
+                for g in 1..=h {
+                    let mut fast = m.clone();
+                    prune_rank_in_place(&mut fast, Gh::new(g, h), granularity, &mut scratch);
+                    let mut reference = m.clone();
+                    let keep = g as usize;
+                    if keep < h as usize {
+                        select_sorted(
+                            reference.data_mut(),
+                            h as usize,
+                            keep,
+                            granularity,
+                            &mut scratch,
+                        );
+                    }
+                    assert_eq!(
+                        bits(&fast),
+                        bits(&reference),
+                        "{g}:{h} granularity {granularity}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Digits every key shares are skipped; ties keep index order.
+    #[test]
+    fn radix_order_skips_uniform_digits() {
+        // 2.0 and 0.5 share their low 22 bits: only the top pass moves.
+        let ties = Matrix::from_rows(&[&[2.0, -2.0, 2.0, 0.5, -0.5]]);
+        assert_eq!(magnitude_order(&ties), vec![3, 4, 0, 1, 2]);
     }
 
     #[test]

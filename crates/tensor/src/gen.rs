@@ -30,6 +30,40 @@ pub fn random_dense(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| nonzero_value(&mut rng))
 }
 
+/// Generates a matrix of awkward `f32` values for kernels whose result
+/// depends on exact ordering: about a quarter special values (NaNs of both
+/// signs with distinct payloads, quiet and signalling; ±0; ±∞;
+/// subnormals; ±1), a quarter exact magnitude ties (four magnitudes of
+/// either sign) and half arbitrary bit patterns.
+pub fn random_special(rows: usize, cols: usize, seed: u64) -> Matrix {
+    const SPECIAL: [u32; 12] = [
+        0x7FC0_0001, // +qNaN with a payload
+        0xFFC0_1234, // -qNaN
+        0x7F80_0003, // +sNaN
+        0xFF80_0005, // -sNaN
+        0x0000_0000, // +0
+        0x8000_0000, // -0
+        0x7F80_0000, // +inf
+        0xFF80_0000, // -inf
+        0x0000_0001, // smallest subnormal
+        0x8000_0007, // negative subnormal
+        0x3F80_0000, // 1.0
+        0xBF80_0000, // -1.0
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    Matrix::from_fn(rows, cols, |_, _| {
+        let r = rng.next_u64();
+        f32::from_bits(match r % 4 {
+            0 => SPECIAL[(r >> 8) as usize % SPECIAL.len()],
+            1 => {
+                (0x3F00_0000 + ((r >> 8) as u32 % 4) * 0x0040_0000)
+                    | ((r >> 40) as u32 & 0x8000_0000)
+            }
+            _ => (r >> 16) as u32,
+        })
+    })
+}
+
 /// Generates a matrix with *exactly* `round(sparsity · rows · cols)` zeros at
 /// uniformly random positions (unstructured sparsity).
 ///

@@ -3,7 +3,9 @@
 use highlight::fibertree::Fibertree;
 use highlight::prelude::*;
 use highlight::sim::micro::{MicroConfig, MicroSim};
-use highlight::sparsity::prune::{prune_hss, prune_unstructured, retained_norm_fraction};
+use highlight::sparsity::prune::{
+    magnitude_order, prune_hss, prune_unstructured, retained_norm_fraction,
+};
 use highlight::tensor::format::{Csr, HssCompressed, SparseB};
 use highlight::tensor::gen;
 use proptest::prelude::*;
@@ -15,8 +17,76 @@ fn pattern_strategy() -> impl Strategy<Value = HssPattern> {
     })
 }
 
+/// Reference HSS pruning written for clarity: rank by rank, lowest
+/// first, each group keeps its `G` blocks of largest sum of squares
+/// (`f64::total_cmp`, ties to the lower index).
+fn reference_prune_hss(m: &Matrix, pattern: &HssPattern) -> Matrix {
+    let mut out = m.clone();
+    let mut granularity = 1;
+    for gh in pattern.ranks().iter().rev() {
+        let (g, h) = (gh.g as usize, gh.h as usize);
+        for group in out.data_mut().chunks_mut(h * granularity) {
+            let scores: Vec<f64> = group
+                .chunks(granularity)
+                .map(|b| b.iter().map(|&v| f64::from(v) * f64::from(v)).sum())
+                .collect();
+            let mut ranked: Vec<usize> = (0..h).collect();
+            ranked.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+            for &b in &ranked[g..] {
+                group[b * granularity..(b + 1) * granularity].fill(0.0);
+            }
+        }
+        granularity *= h;
+    }
+    out
+}
+
+fn bit_patterns(m: &Matrix) -> Vec<u32> {
+    m.data().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `prune_hss` equals the reference bit for bit on adversarial
+    /// values, for every `H` in `1..=32` and one above: at granularity 1
+    /// (one rank) and on wider blocks (two and three ranks).
+    #[test]
+    fn prune_hss_matches_reference_bit_for_bit(pick in 0u32..1000, seed in 0u64..1000) {
+        for h in (1..=32u32).chain([40]) {
+            let g = 1 + pick % h;
+            let patterns = [
+                HssPattern::one_rank(Gh::new(g, h)),
+                HssPattern::two_rank(Gh::new(g, h), Gh::new(2, 4)),
+                HssPattern::new(vec![Gh::new(1, 2), Gh::new(g, h), Gh::new(1 + pick % 3, 3)]),
+            ];
+            for (i, pattern) in patterns.iter().enumerate() {
+                let seed = seed * 101 + u64::from(h) * 3 + i as u64;
+                let m = gen::random_special(2, pattern.group_size() * 2, seed);
+                prop_assert_eq!(
+                    bit_patterns(&prune_hss(&m, pattern)),
+                    bit_patterns(&reference_prune_hss(&m, pattern))
+                );
+            }
+        }
+    }
+
+    /// `magnitude_order` equals the packed-key comparison sort
+    /// `(magnitude bits << 32 | index)`: magnitude ascending under
+    /// `total_cmp`, ties to the lower index.
+    #[test]
+    fn magnitude_order_matches_packed_sort(rows in 1usize..9, cols in 1usize..300, seed in 0u64..1000) {
+        let m = gen::random_special(rows, cols, seed);
+        let mut keys: Vec<u64> = m
+            .data()
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| (u64::from(v.to_bits() & 0x7FFF_FFFF) << 32) | i as u64)
+            .collect();
+        keys.sort_unstable();
+        let reference: Vec<u32> = keys.into_iter().map(|k| k as u32).collect();
+        prop_assert_eq!(magnitude_order(&m), reference);
+    }
 
     /// Generated HSS tensors have exactly the pattern density and conform.
     #[test]
