@@ -349,6 +349,39 @@ mod tests {
         }
     }
 
+    /// Every candidate of every design's space, on every zoo model, loses
+    /// exactly what the plain uncached pipeline loses — on its first
+    /// (miss) evaluation and on its replay — with one cache shared by
+    /// concurrent workers across designs and models, as a serving context
+    /// shares it.
+    #[test]
+    fn cached_losses_match_uncached_on_every_candidate() {
+        use hl_models::accuracy::{accuracy_loss, accuracy_loss_cached, RetentionCache};
+        let models = zoo::all_models();
+        // A candidate's loss does not depend on the design that proposed
+        // it, so each distinct (model, candidate) is checked once.
+        let mut seen = std::collections::BTreeSet::new();
+        let cells: Vec<(usize, PruningConfig)> = crate::designs()
+            .iter()
+            .flat_map(|d| codesign_space(d.name()).unwrap())
+            .flat_map(|cfg| (0..models.len()).map(move |m| (m, cfg.clone())))
+            .filter(|(m, cfg)| seen.insert((*m, cfg.to_string())))
+            .collect();
+        let cache = RetentionCache::new();
+        hl_sim::engine::Engine::with_threads(2).map(&cells, |(m, cfg)| {
+            let model = &models[*m];
+            let plain = accuracy_loss(model, cfg);
+            for pass in ["first", "replay"] {
+                assert_eq!(
+                    accuracy_loss_cached(model, cfg, &cache).to_bits(),
+                    plain.to_bits(),
+                    "{}/{cfg} ({pass})",
+                    model.name
+                );
+            }
+        });
+    }
+
     #[test]
     fn degenerate_candidates_surface_as_unsupported_not_panics() {
         let ctx = SweepContext::new();

@@ -24,8 +24,8 @@ use std::sync::Arc;
 use hl_sim::engine::Memo;
 use hl_sparsity::prune::{
     magnitude_order, prune_hss, prune_hss_ranks_in_place, prune_unstructured,
-    prune_unstructured_ordered, retained_norm_fraction, retained_norm_fraction_with_total,
-    total_sq_norm, PruneScratch,
+    prune_unstructured_ordered, retained_norm_fraction, sum_sq, top_rank_sums, total_sq_norm,
+    PruneScratch,
 };
 use hl_sparsity::{Gh, HssPattern};
 use hl_tensor::Matrix;
@@ -99,6 +99,10 @@ impl From<&PruningConfig> for ConfigKey {
     }
 }
 
+/// Identity of one top-rank ranking: the matrix `(rows, cols, seed)`, the
+/// lower ranks it is pruned to (highest first) and the top rank's `H`.
+type RankingKey = (usize, usize, u64, Vec<Gh>, u32);
+
 /// Memo tables over the surrogate's pure evaluations.
 ///
 /// Design-space sweeps re-estimate the same model under dozens of pruning
@@ -126,6 +130,11 @@ pub struct RetentionCache {
     /// candidate sharing a lowest rank replays the prefix and prunes only
     /// its higher ranks.
     hss_prefix: Memo<(usize, usize, u64, Gh), Arc<Matrix>>,
+    /// Retained energy of every top-rank `G`, per [`RankingKey`]:
+    /// candidates that differ only in the top rank's `G` keep the top `G`
+    /// blocks of one ranking, so one [`top_rank_sums`] call scores them
+    /// all.
+    top_sums: Memo<RankingKey, Arc<[f64]>>,
     /// Per-layer retained-norm fractions keyed on
     /// `(rows, cols, config, seed)`.
     retention: Memo<(usize, usize, ConfigKey, u64), f64>,
@@ -189,7 +198,9 @@ fn layer_retention(
                 let w = cache
                     .weights
                     .get_or_insert_with(&wkey, || Arc::new(synthetic_weights(r, c, seed)));
-                let pruned = match config {
+                let total = cache.norms.get_or_insert_with(&wkey, || total_sq_norm(&w));
+                // The retained energy: the squared norm of what survives.
+                let retained = match config {
                     PruningConfig::Dense => unreachable!("handled above"),
                     PruningConfig::Unstructured { sparsity } => {
                         // The argsort is shared across every degree pruning
@@ -197,47 +208,68 @@ fn layer_retention(
                         let order = cache
                             .orders
                             .get_or_insert_with(&wkey, || Arc::new(magnitude_order(&w)));
-                        prune_unstructured_ordered(&w, *sparsity, &order)
+                        sum_sq(prune_unstructured_ordered(&w, *sparsity, &order).data())
                     }
-                    PruningConfig::Hss(p) if p.rank_count() >= 2 => {
-                        // Replay the shared lowest-rank prefix, then prune
-                        // only this candidate's higher ranks. Identical to
-                        // `prune_hss`: that routine prunes the same buffer
-                        // rank-by-rank, and the lowest rank reads nothing
-                        // but the matrix and its own G:H.
-                        let lowest = *p.ranks().last().expect("rank_count >= 2");
-                        let prefix =
-                            cache
-                                .hss_prefix
-                                .get_or_insert_with(&(r, c, seed, lowest), || {
-                                    let mut m = Matrix::clone(&w);
-                                    SCRATCH.with(|s| {
-                                        prune_hss_ranks_in_place(
-                                            &mut m,
-                                            &HssPattern::one_rank(lowest),
-                                            0,
-                                            &mut s.borrow_mut(),
-                                        );
-                                    });
-                                    Arc::new(m)
-                                });
-                        let mut m = Matrix::clone(&prefix);
-                        SCRATCH
-                            .with(|s| prune_hss_ranks_in_place(&mut m, p, 1, &mut s.borrow_mut()));
-                        m
-                    }
-                    PruningConfig::Hss(p) => {
-                        let mut m = Matrix::clone(&w);
-                        SCRATCH
-                            .with(|s| prune_hss_ranks_in_place(&mut m, p, 0, &mut s.borrow_mut()));
-                        m
-                    }
+                    PruningConfig::Hss(p) => match p.ranks().split_first() {
+                        // No rank prunes anything: `w` is retained whole.
+                        None => total,
+                        Some((top, lower)) => {
+                            let sums = top_sums_cached(cache, &w, (r, c, seed), top.h, lower);
+                            sums[top.g.min(top.h) as usize - 1]
+                        }
+                    },
                 };
-                let total = cache.norms.get_or_insert_with(&wkey, || total_sq_norm(&w));
-                retained_norm_fraction_with_total(total, &w, &pruned)
+                // As `retained_norm_fraction`: an all-zero matrix keeps 1.0.
+                if total == 0.0 {
+                    1.0
+                } else {
+                    retained / total
+                }
             })
         }
     }
+}
+
+/// The memoized [`top_rank_sums`] of the matrix `w` pruned to the `lower`
+/// ranks (highest first), for a top rank of `top_h` blocks.
+///
+/// The ranking's input is what `prune_hss` would hand the top rank:
+/// `w` itself for a one-rank pattern, the shared lowest-rank prefix for
+/// two ranks, and that prefix with the middle ranks pruned in place
+/// above it. The lowest rank reads nothing but the matrix and its own
+/// `G:H` (granularity 1), so every candidate sharing it replays one
+/// prefix.
+fn top_sums_cached(
+    cache: &RetentionCache,
+    w: &Matrix,
+    (r, c, seed): (usize, usize, u64),
+    top_h: u32,
+    lower: &[Gh],
+) -> Arc<[f64]> {
+    let key = (r, c, seed, lower.to_vec(), top_h);
+    cache.top_sums.get_or_insert_with(&key, || {
+        let granularity: usize = lower.iter().map(|gh| gh.h as usize).product();
+        SCRATCH.with(|s| {
+            let scratch = &mut s.borrow_mut();
+            let Some(&lowest) = lower.last() else {
+                return top_rank_sums(w, top_h, granularity, scratch).into();
+            };
+            let prefix = cache
+                .hss_prefix
+                .get_or_insert_with(&(r, c, seed, lowest), || {
+                    let mut m = w.clone();
+                    prune_hss_ranks_in_place(&mut m, &HssPattern::one_rank(lowest), 0, scratch);
+                    Arc::new(m)
+                });
+            if lower.len() == 1 {
+                top_rank_sums(&prefix, top_h, granularity, scratch).into()
+            } else {
+                let mut m = Matrix::clone(&prefix);
+                prune_hss_ranks_in_place(&mut m, &HssPattern::new(lower.to_vec()), 1, scratch);
+                top_rank_sums(&m, top_h, granularity, scratch).into()
+            }
+        })
+    })
 }
 
 fn model_retention_impl(
@@ -368,21 +400,44 @@ mod tests {
         assert!(per_unit_deit > per_unit_resnet);
     }
 
+    /// Cached losses equal the uncached pipeline's on every retention
+    /// path: unstructured, and HSS candidates sharing one top-rank ranking
+    /// across `G` at one, two and three ranks, through the rank-count
+    /// kernels (`H <= 8`), the generic fallback (`H > 8`) and a pattern
+    /// with no rank. The full co-design candidate space is checked the
+    /// same way in `hl-bench`'s search tests.
     #[test]
     fn cached_and_uncached_losses_agree_exactly() {
         let cache = RetentionCache::new();
-        let m = zoo::resnet50();
-        let configs = [
+        let m = zoo::deit_small();
+        let mut configs = vec![
             PruningConfig::Unstructured { sparsity: 0.5 },
-            PruningConfig::Hss(HssPattern::one_rank(Gh::new(2, 4))),
-            PruningConfig::Hss(HssPattern::two_rank(Gh::new(4, 8), Gh::new(2, 4))),
+            PruningConfig::Hss(HssPattern::dense()),
         ];
+        for (g, h) in [(1, 8), (3, 8), (8, 8), (2, 4), (5, 12)] {
+            let top = Gh::new(g, h);
+            configs.push(PruningConfig::Hss(HssPattern::one_rank(top)));
+            configs.push(PruningConfig::Hss(HssPattern::two_rank(top, Gh::new(2, 4))));
+            configs.push(PruningConfig::Hss(HssPattern::new(vec![
+                top,
+                Gh::new(1, 2),
+                Gh::new(2, 4),
+            ])));
+        }
         for cfg in &configs {
             let plain = accuracy_loss(&m, cfg);
             let cached = accuracy_loss_cached(&m, cfg, &cache);
-            assert_eq!(plain, cached, "first (miss) evaluation must be identical");
+            assert_eq!(
+                plain.to_bits(),
+                cached.to_bits(),
+                "{cfg}: first (miss) evaluation must be identical"
+            );
             let replay = accuracy_loss_cached(&m, cfg, &cache);
-            assert_eq!(plain, replay, "replay (hit) must be identical");
+            assert_eq!(
+                plain.to_bits(),
+                replay.to_bits(),
+                "{cfg}: replay (hit) must be identical"
+            );
         }
         let (hits, misses) = cache.stats();
         assert!(hits > 0 && misses > 0);

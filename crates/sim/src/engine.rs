@@ -40,7 +40,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use hl_tensor::GemmShape;
 
@@ -131,22 +131,27 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// A thread-safe memo table for pure evaluations.
+/// A thread-safe memo table for pure evaluations that computes each key
+/// once.
 ///
-/// Lookups clone the stored value; misses compute *outside* the lock, so a
-/// slow evaluation never serializes the other workers (two workers may race
-/// on the same key, but the evaluation is pure, so both compute the same
-/// value and either insert wins).
+/// Every key owns a [`OnceLock`] cell. The first caller of a key inserts
+/// its empty cell and computes the value *outside* the map lock, so a
+/// slow evaluation never serializes the other keys; a concurrent caller of
+/// the same key waits on that cell for the first caller's value instead of
+/// computing it again. Lookups of a filled key clone the stored value
+/// under one lock and one map lookup.
 ///
-/// The table is unwind-safe: evaluations run outside the lock, so a
-/// panicking evaluation can never leave a half-written entry, and every
-/// lock recovers from mutex poisoning (a thread that panicked *while
-/// holding* the lock was only reading or inserting a fully-computed
-/// value, so the map is still consistent). A caught panic therefore
-/// doesn't wedge every later request that shares the cache.
+/// The table is unwind-safe: a panicking evaluation leaves its cell empty,
+/// and the next caller of that key (a waiter included) computes it afresh.
+/// Cells still empty — in flight or abandoned by a panic — are not
+/// entries: [`Memo::len`] and [`Memo::entries`] skip them and
+/// [`Memo::preload`] fills them. Every lock recovers from mutex poisoning
+/// (a thread that panicked *while holding* the lock was only reading or
+/// inserting a cell, so the map is still consistent). A caught panic
+/// therefore doesn't wedge every later request that shares the cache.
 #[derive(Debug)]
 pub struct Memo<K, V> {
-    map: Mutex<HashMap<K, V>>,
+    map: Mutex<HashMap<K, Arc<OnceLock<V>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -169,29 +174,45 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
 
     /// Locks the map, recovering from poisoning: see the type docs for
     /// why the contents are still consistent after a panic.
-    fn map(&self) -> std::sync::MutexGuard<'_, HashMap<K, V>> {
+    fn map(&self) -> std::sync::MutexGuard<'_, HashMap<K, Arc<OnceLock<V>>>> {
         self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Returns the memoized value for `key`, computing it with `f` on a
-    /// miss.
+    /// miss. Concurrent callers of one key run `f` once: the others wait
+    /// for its value and count as hits.
     pub fn get_or_insert_with(&self, key: &K, f: impl FnOnce() -> V) -> V {
-        if let Some(v) = self.map().get(key) {
+        let cell = {
+            let mut map = self.map();
+            match map.get(key) {
+                Some(cell) => match cell.get() {
+                    Some(v) => {
+                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        return v.clone();
+                    }
+                    None => Arc::clone(cell),
+                },
+                None => Arc::clone(map.entry(key.clone()).or_default()),
+            }
+        };
+        let mut computed = false;
+        let v = cell.get_or_init(|| {
+            computed = true;
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            f()
+        });
+        if !computed {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return v.clone();
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = f();
-        self.map().entry(key.clone()).or_insert_with(|| v.clone());
-        v
+        v.clone()
     }
 
-    /// Number of entries currently stored.
+    /// Number of filled entries.
     pub fn len(&self) -> usize {
-        self.map().len()
+        self.map().values().filter(|c| c.get().is_some()).count()
     }
 
-    /// True when no entry is stored.
+    /// True when no entry is filled.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -212,21 +233,26 @@ impl<K: Eq + Hash + Clone, V: Clone> Memo<K, V> {
         (self.hits(), self.misses())
     }
 
-    /// Clones out every `(key, value)` pair — the persistence path:
-    /// `hl-serve` snapshots the evaluation cache to disk on graceful
+    /// Clones out every filled `(key, value)` pair — the persistence
+    /// path: `hl-serve` snapshots the evaluation cache to disk on graceful
     /// drain. Order is unspecified (callers sort).
     pub fn entries(&self) -> Vec<(K, V)> {
         self.map()
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .filter_map(|(k, c)| Some((k.clone(), c.get()?.clone())))
             .collect()
     }
 
     /// Seeds an entry without touching the hit/miss counters — the
-    /// snapshot-load path. An already-present key keeps its value (live
-    /// results win over preloaded ones).
+    /// snapshot-load path. A filled key keeps its value (live results win
+    /// over preloaded ones); an empty cell is replaced by a filled one,
+    /// and a computation still in flight on it completes on its own.
     pub fn preload(&self, key: K, value: V) {
-        self.map().entry(key).or_insert(value);
+        let mut map = self.map();
+        let cell = map.entry(key).or_default();
+        if cell.get().is_none() {
+            *cell = Arc::new(OnceLock::from(value));
+        }
     }
 }
 
@@ -658,6 +684,75 @@ mod tests {
         let mut entries = memo.entries();
         entries.sort_unstable();
         assert_eq!(entries, vec![(1, 10), (2, 20), (3, 30)]);
+    }
+
+    #[test]
+    fn memo_computes_a_raced_key_once() {
+        let memo: Memo<u32, u64> = Memo::new();
+        let (calls, arrived) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let barrier = std::sync::Barrier::new(8);
+        let values: Vec<u64> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        arrived.fetch_add(1, Ordering::SeqCst);
+                        memo.get_or_insert_with(&5, || {
+                            calls.fetch_add(1, Ordering::SeqCst);
+                            // Keep the key in flight until every racer has
+                            // reached the lookup.
+                            while arrived.load(Ordering::SeqCst) < 8 {
+                                std::thread::yield_now();
+                            }
+                            25
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "f must run exactly once");
+        assert_eq!(values, vec![25; 8]);
+        assert_eq!((memo.misses(), memo.hits(), memo.len()), (1, 7, 1));
+    }
+
+    #[test]
+    fn memo_key_stays_computable_after_a_panic() {
+        let memo: Memo<u32, u32> = Memo::new();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo.get_or_insert_with(&3, || panic!("evaluation failed"))
+        }));
+        assert!(caught.is_err());
+        assert!(memo.is_empty(), "a failed evaluation stores nothing");
+        assert!(memo.entries().is_empty());
+        assert_eq!(memo.get_or_insert_with(&3, || 9), 9);
+        assert_eq!(memo.get_or_insert_with(&3, || unreachable!()), 9);
+        assert_eq!((memo.misses(), memo.hits(), memo.len()), (2, 1, 1));
+    }
+
+    #[test]
+    fn memo_views_skip_a_cell_in_flight() {
+        let memo: Memo<u32, u32> = Memo::new();
+        memo.get_or_insert_with(&1, || 10);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let memo = &memo;
+            let worker = scope.spawn(move || {
+                memo.get_or_insert_with(&2, || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    20
+                })
+            });
+            started_rx.recv().unwrap();
+            // Key 2 is in flight: only the filled key is visible.
+            assert_eq!(memo.len(), 1);
+            assert_eq!(memo.entries(), vec![(1, 10)]);
+            release_tx.send(()).unwrap();
+            assert_eq!(worker.join().unwrap(), 20);
+        });
+        assert_eq!(memo.len(), 2);
     }
 
     #[test]

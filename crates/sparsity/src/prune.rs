@@ -45,15 +45,17 @@ pub fn scaled_l2(values: &[f32]) -> f64 {
     (sum_sq(values) / values.len() as f64).sqrt()
 }
 
-/// Reusable key buffer for the generic selection path.
+/// Reusable buffers for the pruning kernels.
 ///
 /// Ranks with `H` in `2..=8` select with fixed-size stack arrays and never
-/// touch it; any other `H` sorts one group's packed keys here. One scratch
-/// serves every rank of every [`prune_hss`] call on a thread, so sweeps
-/// scoring many candidate patterns do not reallocate per group.
+/// touch the key buffer; any other `H` sorts one group's packed keys there.
+/// [`top_rank_sums`] keeps its per-block rank counts in the second buffer.
+/// One scratch serves every rank of every [`prune_hss`] call on a thread,
+/// so sweeps scoring many candidate patterns do not reallocate per group.
 #[derive(Debug, Default)]
 pub struct PruneScratch {
     keys: Vec<u128>,
+    beaten: Vec<u8>,
 }
 
 impl PruneScratch {
@@ -152,18 +154,24 @@ fn prune_rank_in_place(m: &mut Matrix, gh: Gh, granularity: usize, scratch: &mut
     }
 }
 
-/// Whether block `b` of a group with the given score keys survives: fewer
-/// than `keep` blocks beat it under (key desc, index asc). With `H` a
-/// constant the loop unrolls and `j < b` folds away, leaving `H`
-/// branch-free compares.
+/// How many blocks of a group with the given score keys beat block `b`
+/// under (key desc, index asc). With `H` a constant the loop unrolls and
+/// `j < b` folds away, leaving `H` branch-free compares.
 #[inline(always)]
-fn survives<const H: usize>(keys: &[u64; H], b: usize, keep: usize) -> bool {
+fn beaten_by<const H: usize>(keys: &[u64; H], b: usize) -> usize {
     let kb = keys[b];
     let mut beaten = 0;
     for (j, &kj) in keys.iter().enumerate() {
         beaten += usize::from((kj > kb) | ((kj == kb) & (j < b)));
     }
-    beaten < keep
+    beaten
+}
+
+/// Whether block `b` survives a `keep`-of-`H` selection: fewer than `keep`
+/// blocks beat it.
+#[inline(always)]
+fn survives<const H: usize>(keys: &[u64; H], b: usize, keep: usize) -> bool {
+    beaten_by(keys, b) < keep
 }
 
 /// Granularity-1 selection: blocks are single values, so a score is the
@@ -226,6 +234,113 @@ fn select_sorted(
             gs[lo..lo + granularity].fill(0.0);
         }
     }
+}
+
+/// The retained energy of every `G:H` selection of one rank:
+/// `sums[G - 1] == sum_sq(prune_rank(base, G:H, granularity).data())`
+/// for every `G` in `1..=H`, bit for bit.
+///
+/// Candidates that differ only in their top rank's `G` keep the top `G`
+/// blocks of one per-group ordering, so one ranking serves them all. For
+/// `H` in `2..=8` a rank pass stores each block's "beaten by" count (how
+/// many blocks of its group outrank it, on the same keys the selection
+/// kernels use), then a sum pass squares each value once and adds it,
+/// masked to `+0.0` where its block is dropped, into `H` independent
+/// accumulators. Each accumulator starts at `-0.0` (as `f64::sum` does)
+/// and adds in data order, and a dropped value adds exactly the `+0.0`
+/// its zeroed copy would, so every sum is the one prune-then-[`sum_sq`]
+/// computes. Any other `H` prunes and sums a copy per `G`.
+///
+/// # Panics
+/// Panics if `h == 0` or the column count is not a multiple of
+/// `h * granularity`.
+pub fn top_rank_sums(
+    base: &Matrix,
+    h: u32,
+    granularity: usize,
+    scratch: &mut PruneScratch,
+) -> Vec<f64> {
+    assert!(h > 0, "H must be positive");
+    let group = h as usize * granularity;
+    assert!(
+        base.cols().is_multiple_of(group),
+        "cols ({}) must be a multiple of H * granularity ({group})",
+        base.cols()
+    );
+    let data = base.data();
+    let beaten = &mut scratch.beaten;
+    match h {
+        2 => rank_sums::<2>(data, granularity, beaten).to_vec(),
+        3 => rank_sums::<3>(data, granularity, beaten).to_vec(),
+        4 => rank_sums::<4>(data, granularity, beaten).to_vec(),
+        5 => rank_sums::<5>(data, granularity, beaten).to_vec(),
+        6 => rank_sums::<6>(data, granularity, beaten).to_vec(),
+        7 => rank_sums::<7>(data, granularity, beaten).to_vec(),
+        8 => rank_sums::<8>(data, granularity, beaten).to_vec(),
+        _ => (1..=h)
+            .map(|g| {
+                let mut m = base.clone();
+                prune_rank_in_place(&mut m, Gh::new(g, h), granularity, scratch);
+                sum_sq(m.data())
+            })
+            .collect(),
+    }
+}
+
+/// [`top_rank_sums`] for a constant `H`: `beaten` ends up holding each
+/// block's rank count, and entry `G - 1` of the result is the sum over
+/// the values whose block's count is below `G`.
+fn rank_sums<const H: usize>(data: &[f32], granularity: usize, beaten: &mut Vec<u8>) -> [f64; H] {
+    beaten.clear();
+    beaten.resize(data.len() / granularity, 0);
+    let (counts, _) = beaten.as_chunks_mut::<H>();
+    if granularity == 1 {
+        let (groups, _) = data.as_chunks::<H>();
+        for (gs, cs) in groups.iter().zip(counts) {
+            let keys: [u64; H] = std::array::from_fn(|b| {
+                let v = f64::from(gs[b]);
+                total_cmp_key(v * v)
+            });
+            for (b, c) in cs.iter_mut().enumerate() {
+                *c = beaten_by(&keys, b) as u8;
+            }
+        }
+    } else {
+        for (gs, cs) in data.chunks_exact(H * granularity).zip(counts) {
+            let keys: [u64; H] = std::array::from_fn(|b| {
+                total_cmp_key(sum_sq(&gs[b * granularity..(b + 1) * granularity]))
+            });
+            for (b, c) in cs.iter_mut().enumerate() {
+                *c = beaten_by(&keys, b) as u8;
+            }
+        }
+    }
+    // masks[count][G - 1] keeps a square's bits iff count < G.
+    let masks: [[u64; H]; H] = std::array::from_fn(|count| {
+        std::array::from_fn(|g| 0u64.wrapping_sub(u64::from(count <= g)))
+    });
+    let mut sums = [-0.0f64; H];
+    let mut add = |v: f32, mask: &[u64; H]| {
+        let sq = (f64::from(v) * f64::from(v)).to_bits();
+        for (sum, &m) in sums.iter_mut().zip(mask) {
+            *sum += f64::from_bits(sq & m);
+        }
+    };
+    // One count per value at granularity 1 keeps this loop flat; wider
+    // blocks share their count's mask across the block.
+    if granularity == 1 {
+        for (&v, &count) in data.iter().zip(beaten.iter()) {
+            add(v, &masks[usize::from(count)]);
+        }
+    } else {
+        for (block, &count) in data.chunks_exact(granularity).zip(beaten.iter()) {
+            let mask = &masks[usize::from(count)];
+            for &v in block {
+                add(v, mask);
+            }
+        }
+    }
+    sums
 }
 
 /// Sparsifies a dense matrix to an N-rank HSS pattern, rank-by-rank in
@@ -378,7 +493,13 @@ pub fn prune_unstructured(m: &Matrix, sparsity: f64) -> Matrix {
 /// # Panics
 /// Panics if the shapes differ.
 pub fn retained_norm_fraction(original: &Matrix, pruned: &Matrix) -> f64 {
-    retained_norm_fraction_with_total(total_sq_norm(original), original, pruned)
+    assert_eq!(original.rows(), pruned.rows(), "shape mismatch");
+    assert_eq!(original.cols(), pruned.cols(), "shape mismatch");
+    let total = total_sq_norm(original);
+    if total == 0.0 {
+        return 1.0;
+    }
+    sum_sq(pruned.data()) / total
 }
 
 /// Total squared-magnitude (energy) of a matrix, accumulated in data
@@ -386,20 +507,6 @@ pub fn retained_norm_fraction(original: &Matrix, pruned: &Matrix) -> f64 {
 /// callers scoring many prunings of one matrix compute it once.
 pub fn total_sq_norm(m: &Matrix) -> f64 {
     sum_sq(m.data())
-}
-
-/// [`retained_norm_fraction`] with a precomputed [`total_sq_norm`] of
-/// `original`.
-///
-/// # Panics
-/// Panics if the shapes differ.
-pub fn retained_norm_fraction_with_total(total: f64, original: &Matrix, pruned: &Matrix) -> f64 {
-    assert_eq!(original.rows(), pruned.rows(), "shape mismatch");
-    assert_eq!(original.cols(), pruned.cols(), "shape mismatch");
-    if total == 0.0 {
-        return 1.0;
-    }
-    sum_sq(pruned.data()) / total
 }
 
 #[cfg(test)]

@@ -66,7 +66,7 @@ fn highlight_vs_dense_geomean_and_parity() {
     let parity = dense_point.results[tc].as_ref().unwrap().edp()
         / dense_point.results[hl].as_ref().unwrap().edp();
     assert!(
-        (0.85..=1.18).contains(&parity),
+        (0.85..=1.15).contains(&parity),
         "dense parity ratio {parity}"
     );
 }

@@ -4,7 +4,8 @@ use highlight::fibertree::Fibertree;
 use highlight::prelude::*;
 use highlight::sim::micro::{MicroConfig, MicroSim};
 use highlight::sparsity::prune::{
-    magnitude_order, prune_hss, prune_unstructured, retained_norm_fraction,
+    magnitude_order, prune_hss, prune_rank, prune_unstructured, retained_norm_fraction, sum_sq,
+    top_rank_sums, PruneScratch,
 };
 use highlight::tensor::format::{Csr, HssCompressed, SparseB};
 use highlight::tensor::gen;
@@ -67,6 +68,43 @@ proptest! {
                     bit_patterns(&prune_hss(&m, pattern)),
                     bit_patterns(&reference_prune_hss(&m, pattern))
                 );
+            }
+        }
+    }
+
+    /// `top_rank_sums` returns, for every `G` in `1..=H`, the retained
+    /// energy `prune_rank` + `sum_sq` computes — for every `H` in `1..=32`
+    /// and one above, at granularity 1 to 4. On values with ±0, ±∞,
+    /// subnormals and exact ties the sums are bit-identical; once NaNs
+    /// enter, a sum is NaN exactly when the reference is.
+    #[test]
+    fn top_rank_sums_match_prune_then_sum(seed in 0u64..1000) {
+        let mut scratch = PruneScratch::new();
+        for h in (1..=32u32).chain([40]) {
+            for granularity in 1..=4usize {
+                let seed = seed * 997 + u64::from(h) * 5 + granularity as u64;
+                let cols = h as usize * granularity * 2;
+                let special = gen::random_special(2, cols, seed);
+                let no_nan = Matrix::from_fn(2, cols, |r, c| {
+                    let v = special.get(r, c);
+                    if v.is_nan() { 1.0 } else { v }
+                });
+                for (m, exact) in [(&no_nan, true), (&special, false)] {
+                    let sums = top_rank_sums(m, h, granularity, &mut scratch);
+                    prop_assert_eq!(sums.len(), h as usize);
+                    for (g, &got) in (1..=h).zip(&sums) {
+                        let reference = sum_sq(prune_rank(m, Gh::new(g, h), granularity).data());
+                        let agree = if exact {
+                            got.to_bits() == reference.to_bits()
+                        } else {
+                            got.is_nan() == reference.is_nan()
+                        };
+                        prop_assert!(
+                            agree,
+                            "{g}:{h} granularity {granularity}: {got} vs {reference}"
+                        );
+                    }
+                }
             }
         }
     }
