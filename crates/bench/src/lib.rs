@@ -49,7 +49,9 @@ pub use search::{codesign_space, SearchOutcome, SearchPoint};
 
 use highlight_core::HighLight;
 use hl_baselines::{Dstc, S2ta, Stc, Tc};
-use hl_models::accuracy::{accuracy_loss, accuracy_loss_cached, PruningConfig, RetentionCache};
+use hl_models::accuracy::{
+    accuracy_loss, accuracy_loss_cached, accuracy_losses_cached, PruningConfig, RetentionCache,
+};
 use hl_models::DnnModel;
 use hl_sim::engine::{Engine, SweepGrid};
 use hl_sim::network::{NetworkEval, NetworkWorkload, SparsityMapping};
@@ -264,6 +266,22 @@ impl SweepContext {
             accuracy_loss_cached(model, config, &self.retention)
         } else {
             accuracy_loss(model, config)
+        }
+    }
+
+    /// [`SweepContext::accuracy_loss`] of every configuration in
+    /// `configs`, in order. In engine mode the retention work is split
+    /// across the pool by weight matrix
+    /// ([`accuracy_losses_cached`]); the baseline scores one
+    /// configuration after another.
+    pub fn accuracy_losses(&self, model: &DnnModel, configs: &[PruningConfig]) -> Vec<f64> {
+        if self.cached {
+            accuracy_losses_cached(model, configs, &self.retention, self.engine.threads())
+        } else {
+            configs
+                .iter()
+                .map(|cfg| accuracy_loss(model, cfg))
+                .collect()
         }
     }
 

@@ -17,12 +17,14 @@
 //!    policy model lowering uses), so a degree becomes the `G:H` pattern
 //!    the design was built for and the surrogate scores exactly the
 //!    configuration the hardware runs;
-//! 3. [`SweepContext::codesign`] evaluates every resolved candidate in
-//!    parallel across the engine pool — surrogate accuracy loss through
-//!    the retention cache, whole-network EDP through the per-layer
-//!    [`hl_sim::engine::EvalCache`] — and returns the supported points
-//!    with their Pareto front over `(loss, EDP)` and the lowest-EDP point
-//!    within the budget.
+//! 3. [`SweepContext::codesign`] evaluates every resolved candidate across
+//!    the engine pool in two parallel passes: surrogate accuracy loss
+//!    through the retention cache, with the work split by weight matrix
+//!    ([`SweepContext::accuracy_losses`]) so no two workers share a
+//!    memoized intermediate, then whole-network EDP one candidate per
+//!    cell through the per-layer [`hl_sim::engine::EvalCache`]. It
+//!    returns the supported points with their Pareto front over
+//!    `(loss, EDP)` and the lowest-EDP point within the budget.
 //!
 //! Degenerate candidates (fully-pruned operands, patterns outside the
 //! design's families) surface as unsupported counts, not worker panics —
@@ -213,27 +215,27 @@ impl SweepContext {
             .edp()
             .expect("TC runs dense");
 
-        // One cell per candidate: loss + network aggregates, fanned out
-        // across the pool (nested layer fan-out runs inline on workers).
-        // Neighboring candidates differ only in operand A's descriptor, so
-        // the design fingerprint is hoisted out of the whole grid.
+        // Retention first, split across the pool by weight matrix so the
+        // workers never share a memoized intermediate; then one cell per
+        // candidate for its network aggregates (nested layer fan-out runs
+        // inline on workers). Neighboring candidates differ only in
+        // operand A's descriptor, so the design fingerprint is hoisted out
+        // of the whole grid.
+        let losses = self.accuracy_losses(model, &candidates);
         let fingerprint = hl_sim::engine::Engine::fingerprint(design);
         let evals = self.map(&candidates, |cfg| {
-            let loss = self.accuracy_loss(model, cfg);
             let eval = self.eval_network_keyed(design, &fingerprint, model, cfg);
             match (eval.edp(), eval.energy_j(), eval.latency_s()) {
-                (Some(edp), Some(energy_j), Some(latency_s)) => {
-                    Some((loss, edp, energy_j, latency_s))
-                }
+                (Some(edp), Some(energy_j), Some(latency_s)) => Some((edp, energy_j, latency_s)),
                 _ => None,
             }
         });
 
         let mut points: Vec<SearchPoint> = candidates
             .iter()
-            .zip(evals)
-            .filter_map(|(cfg, eval)| {
-                let (loss, edp, energy_j, latency_s) = eval?;
+            .zip(losses.into_iter().zip(evals))
+            .filter_map(|(cfg, (loss, eval))| {
+                let (edp, energy_j, latency_s) = eval?;
                 Some(SearchPoint {
                     config: cfg.clone(),
                     label: cfg.to_string(),
@@ -353,10 +355,12 @@ mod tests {
     /// exactly what the plain uncached pipeline loses — on its first
     /// (miss) evaluation and on its replay — with one cache shared by
     /// concurrent workers across designs and models, as a serving context
-    /// shares it.
+    /// shares it, and through [`SweepContext::accuracy_losses`] on fresh
+    /// 1- and 2-thread contexts, which split the work by weight matrix.
     #[test]
     fn cached_losses_match_uncached_on_every_candidate() {
         use hl_models::accuracy::{accuracy_loss, accuracy_loss_cached, RetentionCache};
+        use hl_sim::engine::Engine;
         let models = zoo::all_models();
         // A candidate's loss does not depend on the design that proposed
         // it, so each distinct (model, candidate) is checked once.
@@ -368,7 +372,7 @@ mod tests {
             .filter(|(m, cfg)| seen.insert((*m, cfg.to_string())))
             .collect();
         let cache = RetentionCache::new();
-        hl_sim::engine::Engine::with_threads(2).map(&cells, |(m, cfg)| {
+        let plain = Engine::with_threads(2).map(&cells, |(m, cfg)| {
             let model = &models[*m];
             let plain = accuracy_loss(model, cfg);
             for pass in ["first", "replay"] {
@@ -379,7 +383,28 @@ mod tests {
                     model.name
                 );
             }
+            plain
         });
+        for threads in [1, 2] {
+            let ctx = SweepContext::with_engine(Engine::with_threads(threads));
+            for (m, model) in models.iter().enumerate() {
+                let (configs, expected): (Vec<PruningConfig>, Vec<u64>) = cells
+                    .iter()
+                    .zip(&plain)
+                    .filter(|((cm, _), _)| *cm == m)
+                    .map(|((_, cfg), loss)| (cfg.clone(), loss.to_bits()))
+                    .unzip();
+                for pass in ["first", "replay"] {
+                    let losses = ctx.accuracy_losses(model, &configs);
+                    let bits: Vec<u64> = losses.iter().map(|l| l.to_bits()).collect();
+                    assert_eq!(
+                        bits, expected,
+                        "{}: {threads}-thread accuracy_losses ({pass})",
+                        model.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! sparsity, and finer-grained patterns lose less at equal sparsity.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use hl_sim::engine::Memo;
+use hl_sim::engine::{parallel_map, Memo};
 use hl_sparsity::prune::{
     magnitude_order, prune_hss, prune_hss_ranks_in_place, prune_unstructured,
     prune_unstructured_ordered, retained_norm_fraction, sum_sq, top_rank_sums, total_sq_norm,
@@ -32,7 +33,7 @@ use hl_tensor::Matrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::layers::DnnModel;
+use crate::layers::{DnnModel, LayerSpec};
 
 thread_local! {
     /// Per-thread pruning scratch: one pair of scoring buffers serves every
@@ -161,26 +162,34 @@ pub fn synthetic_weights(rows: usize, cols: usize, seed: u64) -> Matrix {
     })
 }
 
-/// Retained squared-norm fraction of one representative layer under the
-/// configuration. `cache` deduplicates both the weight synthesis and the
-/// pruning itself across repeated `(shape, config, seed)` evaluations.
-fn layer_retention(
-    rows: usize,
-    cols: usize,
-    config: &PruningConfig,
-    seed: u64,
-    cache: Option<&RetentionCache>,
-) -> f64 {
+/// The representative proxy matrix `(rows, cols, seed)` retention scores
+/// for the `index`-th prunable layer under `config`: rows capped at 64 and
+/// columns at 1024 for speed, columns aligned down to the pattern's group
+/// size. Every retention memo is keyed by this matrix.
+fn proxy_matrix(index: usize, layer: &LayerSpec, config: &PruningConfig) -> (usize, usize, u64) {
     let group = match config {
         PruningConfig::Hss(p) => p.group_size().max(1),
         _ => 1,
     };
-    // Representative proxy: cap size for speed, align K to the group.
-    let r = rows.min(64);
-    let c = (cols.min(1024) / group).max(1) * group;
+    let rows = layer.shape.m.min(64);
+    let cols = (layer.shape.k.min(1024) / group).max(1) * group;
+    (rows, cols, 0xACC0 + index as u64)
+}
+
+/// Retained squared-norm fraction of the `index`-th prunable layer's
+/// proxy matrix under the configuration. `cache` deduplicates both the
+/// weight synthesis and the pruning itself across repeated
+/// `(shape, config, seed)` evaluations.
+fn layer_retention(
+    index: usize,
+    layer: &LayerSpec,
+    config: &PruningConfig,
+    cache: Option<&RetentionCache>,
+) -> f64 {
     if matches!(config, PruningConfig::Dense) {
         return 1.0;
     }
+    let (r, c, seed) = proxy_matrix(index, layer, config);
     match cache {
         None => {
             let w = synthetic_weights(r, c, seed);
@@ -272,23 +281,17 @@ fn top_sums_cached(
     })
 }
 
-fn model_retention_impl(
+/// MAC-weighted mean of `retention(i, layer)` over the model's prunable
+/// layers, `i` counting prunable layers only.
+fn weighted_retention(
     model: &DnnModel,
-    config: &PruningConfig,
-    cache: Option<&RetentionCache>,
+    mut retention: impl FnMut(usize, &LayerSpec) -> f64,
 ) -> f64 {
     let mut weighted = 0.0;
     let mut total = 0.0;
     for (i, layer) in model.layers.iter().filter(|l| l.prunable).enumerate() {
         let macs = layer.total_macs();
-        weighted += macs
-            * layer_retention(
-                layer.shape.m,
-                layer.shape.k,
-                config,
-                0xACC0 + i as u64,
-                cache,
-            );
+        weighted += macs * retention(i, layer);
         total += macs;
     }
     if total == 0.0 {
@@ -296,6 +299,14 @@ fn model_retention_impl(
     } else {
         weighted / total
     }
+}
+
+fn model_retention_impl(
+    model: &DnnModel,
+    config: &PruningConfig,
+    cache: Option<&RetentionCache>,
+) -> f64 {
+    weighted_retention(model, |i, layer| layer_retention(i, layer, config, cache))
 }
 
 /// MAC-weighted retained-norm fraction over a model's prunable layers.
@@ -312,16 +323,28 @@ pub fn model_retention_cached(
     model_retention_impl(model, config, Some(cache))
 }
 
+/// The loss of pruning `model` with `config`, given each prunable layer's
+/// retained-norm fraction.
+fn loss_from_retention(
+    model: &DnnModel,
+    config: &PruningConfig,
+    retention: impl FnMut(usize, &LayerSpec) -> f64,
+) -> f64 {
+    if matches!(config, PruningConfig::Dense) {
+        return 0.0;
+    }
+    let retained = weighted_retention(model, retention);
+    model.sensitivity * model.prunable_fraction() * 3.5 * (1.0 - retained).powf(1.3)
+}
+
 fn accuracy_loss_impl(
     model: &DnnModel,
     config: &PruningConfig,
     cache: Option<&RetentionCache>,
 ) -> f64 {
-    if matches!(config, PruningConfig::Dense) {
-        return 0.0;
-    }
-    let retained = model_retention_impl(model, config, cache);
-    model.sensitivity * model.prunable_fraction() * 3.5 * (1.0 - retained).powf(1.3)
+    loss_from_retention(model, config, |i, layer| {
+        layer_retention(i, layer, config, cache)
+    })
 }
 
 /// Estimated accuracy loss in metric points (top-1 % or BLEU) for pruning
@@ -339,6 +362,63 @@ pub fn accuracy_loss_cached(
     cache: &RetentionCache,
 ) -> f64 {
     accuracy_loss_impl(model, config, Some(cache))
+}
+
+/// [`accuracy_loss_cached`] for every configuration in `configs`, with
+/// the retention work split across `threads` workers by weight matrix.
+///
+/// Every memo a retention miss reads — the synthetic weights, their norm
+/// and magnitude order, the lowest-rank prefix and the top-rank ranking —
+/// is keyed by the layer's proxy matrix. Each `(prunable layer, config)`
+/// unit is grouped by that matrix and every group runs on one worker, so
+/// no two workers compute, or wait on, the same shared intermediate. Each
+/// unit still passes through the per-layer retention memo once, so the
+/// cache's statistics equal those of a per-config
+/// [`accuracy_loss_cached`] loop, and each loss is the same MAC-weighted
+/// sum in the same layer order, so every result is bit-identical to it.
+pub fn accuracy_losses_cached(
+    model: &DnnModel,
+    configs: &[PruningConfig],
+    cache: &RetentionCache,
+    threads: usize,
+) -> Vec<f64> {
+    let layers: Vec<&LayerSpec> = model.layers.iter().filter(|l| l.prunable).collect();
+    // `(config, layer)` units per proxy matrix, in first-occurrence order.
+    let mut group_of = HashMap::new();
+    let mut groups: Vec<Vec<(usize, usize)>> = Vec::new();
+    for (ci, config) in configs.iter().enumerate() {
+        if matches!(config, PruningConfig::Dense) {
+            continue;
+        }
+        for (li, layer) in layers.iter().enumerate() {
+            let g = *group_of
+                .entry(proxy_matrix(li, layer, config))
+                .or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+            groups[g].push((ci, li));
+        }
+    }
+    let values = parallel_map(threads, &groups, |units| {
+        units
+            .iter()
+            .map(|&(ci, li)| layer_retention(li, layers[li], &configs[ci], Some(cache)))
+            .collect::<Vec<f64>>()
+    });
+    let mut retention = vec![0.0; configs.len() * layers.len()];
+    for (units, values) in groups.iter().zip(values) {
+        for (&(ci, li), v) in units.iter().zip(values) {
+            retention[ci * layers.len() + li] = v;
+        }
+    }
+    configs
+        .iter()
+        .enumerate()
+        .map(|(ci, config)| {
+            loss_from_retention(model, config, |li, _| retention[ci * layers.len() + li])
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -400,16 +480,11 @@ mod tests {
         assert!(per_unit_deit > per_unit_resnet);
     }
 
-    /// Cached losses equal the uncached pipeline's on every retention
-    /// path: unstructured, and HSS candidates sharing one top-rank ranking
-    /// across `G` at one, two and three ranks, through the rank-count
-    /// kernels (`H <= 8`), the generic fallback (`H > 8`) and a pattern
-    /// with no rank. The full co-design candidate space is checked the
-    /// same way in `hl-bench`'s search tests.
-    #[test]
-    fn cached_and_uncached_losses_agree_exactly() {
-        let cache = RetentionCache::new();
-        let m = zoo::deit_small();
+    /// Configurations covering every retention path: unstructured, and
+    /// HSS candidates sharing one top-rank ranking across `G` at one, two
+    /// and three ranks, through the rank-count kernels (`H <= 8`), the
+    /// generic fallback (`H > 8`) and a pattern with no rank.
+    fn retention_paths() -> Vec<PruningConfig> {
         let mut configs = vec![
             PruningConfig::Unstructured { sparsity: 0.5 },
             PruningConfig::Hss(HssPattern::dense()),
@@ -424,6 +499,17 @@ mod tests {
                 Gh::new(2, 4),
             ])));
         }
+        configs
+    }
+
+    /// Cached losses equal the uncached pipeline's on every retention
+    /// path of [`retention_paths`]. The full co-design candidate space is
+    /// checked the same way in `hl-bench`'s search tests.
+    #[test]
+    fn cached_and_uncached_losses_agree_exactly() {
+        let cache = RetentionCache::new();
+        let m = zoo::deit_small();
+        let configs = retention_paths();
         for cfg in &configs {
             let plain = accuracy_loss(&m, cfg);
             let cached = accuracy_loss_cached(&m, cfg, &cache);
@@ -445,6 +531,32 @@ mod tests {
             model_retention(&m, &configs[0]),
             model_retention_cached(&m, &configs[0], &cache)
         );
+    }
+
+    /// The batched, matrix-split path returns the per-config loop's
+    /// losses bit for bit, and leaves the retention memo's statistics
+    /// exactly where the loop leaves them: one lookup per
+    /// `(prunable layer, config)` unit, with repeated and dense configs in
+    /// the list. A second pass over memoized values must not count as
+    /// extra hits.
+    #[test]
+    fn batched_losses_match_the_per_config_loop_and_its_stats() {
+        let m = zoo::deit_small();
+        let mut configs = retention_paths();
+        configs.insert(1, PruningConfig::Dense);
+        configs.push(configs[3].clone());
+        let looped = RetentionCache::new();
+        let expected: Vec<u64> = configs
+            .iter()
+            .map(|cfg| accuracy_loss_cached(&m, cfg, &looped).to_bits())
+            .collect();
+        for threads in [1, 2] {
+            let batched = RetentionCache::new();
+            let losses = accuracy_losses_cached(&m, &configs, &batched, threads);
+            let bits: Vec<u64> = losses.iter().map(|l| l.to_bits()).collect();
+            assert_eq!(bits, expected, "{threads} threads");
+            assert_eq!(batched.stats(), looped.stats(), "{threads} threads");
+        }
     }
 
     #[test]

@@ -99,19 +99,29 @@ fn front_is_non_dominated() {
     }
 }
 
+/// Every registered design groups its retention work differently (the
+/// proxy matrix's columns align to the pattern's group size), so each
+/// design's search is checked at 1, 2 and 8 workers against the uncached
+/// serial baseline.
 #[test]
 fn outcome_is_thread_count_invariant() {
-    let design = hl_bench::design_by_name("HighLight").unwrap();
     let model = zoo::deit_small();
-    let reference = deit_outcome();
-    for threads in [1usize, 2, 8] {
-        let ctx = SweepContext::with_engine(Engine::with_threads(threads));
-        let out = ctx.codesign(design.as_ref(), &model, 0.5);
-        assert_eq!(&out, reference, "{threads}-thread search must be identical");
+    for name in hl_bench::registered_names() {
+        let design = hl_bench::design_by_name(name).unwrap();
+        // The uncached serial baseline is the reference (memo transparency).
+        let reference = SweepContext::serial_baseline().codesign(design.as_ref(), &model, 0.5);
+        if name == "HighLight" {
+            assert_eq!(&reference, deit_outcome());
+        }
+        for threads in [1usize, 2, 8] {
+            let ctx = SweepContext::with_engine(Engine::with_threads(threads));
+            let out = ctx.codesign(design.as_ref(), &model, 0.5);
+            assert_eq!(
+                out, reference,
+                "{name}: {threads}-thread search must be identical"
+            );
+        }
     }
-    // The uncached serial baseline agrees too (memo transparency).
-    let out = SweepContext::serial_baseline().codesign(design.as_ref(), &model, 0.5);
-    assert_eq!(&out, reference);
 }
 
 #[test]
