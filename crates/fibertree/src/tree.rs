@@ -90,17 +90,44 @@ impl Fibertree {
             .zip(shape)
             .map(|(n, &s)| RankInfo::new(*n, s))
             .collect();
+        // Row-major data visits coordinates in lexicographic order, so the
+        // tree is built append-only: each nonzero shares its path with the
+        // previous one down to the first rank whose coordinate changed
+        // since, gets fresh child fibers from there down, and is appended
+        // to its lowest fiber. Nodes are pushed in the order `insert`
+        // would push them, so the arena layout is the same.
         let mut tree = Self::empty(ranks);
+        let last = shape.len() - 1;
         let mut coords = vec![0usize; shape.len()];
-        for (i, &v) in data.iter().enumerate() {
+        // `path[d]`: arena index of the rank-`d` fiber on the current path.
+        let mut path = vec![0u32; shape.len()];
+        // Highest rank whose coordinate changed since the last nonzero.
+        let mut changed = 0usize;
+        for &v in data {
             if v != 0.0 {
-                let mut rem = i;
-                for (d, &s) in shape.iter().enumerate().rev() {
-                    coords[d] = rem % s;
-                    rem /= s;
+                for d in changed..last {
+                    let child = u32::try_from(tree.nodes.len()).expect("arena index overflow");
+                    tree.nodes.push(Node::default());
+                    tree.nodes[path[d] as usize]
+                        .elems
+                        .push((coords[d], Slot::Child(child)));
+                    path[d + 1] = child;
                 }
-                tree.insert(&coords, v);
+                tree.nodes[path[last] as usize]
+                    .elems
+                    .push((coords[last], Slot::Value(v)));
+                tree.nnz += 1;
+                changed = last;
             }
+            // Step the odometer; a carry moves the change up a rank.
+            let mut d = last;
+            coords[d] += 1;
+            while coords[d] == shape[d] && d > 0 {
+                coords[d] = 0;
+                d -= 1;
+                coords[d] += 1;
+            }
+            changed = changed.min(d);
         }
         Ok(tree)
     }

@@ -29,6 +29,22 @@
 //! `M · N · K/(H1·H0)` — the hierarchical-skipping speedup
 //! `(H1/G1)·(H0/G0)` over a dense array of `G1·G0` MACs (§6.3).
 //!
+//! ## How the simulator computes it
+//!
+//! [`MicroSim::run`] produces the counts and outputs of that loop nest
+//! without stepping it cycle by cycle:
+//!
+//! - the VFMU state depends only on B's column and the group, never on
+//!   `m`, so each column is walked once (`N` walks, not `M·N`) and its
+//!   B-side counts are multiplied by `M`;
+//! - cycles, RF accesses, VFMU words and SAF selections are closed-form
+//!   in `M`, `N`, the group count and A's block and value counts;
+//! - the MACs run with `n` innermost: each stored A value meets B's
+//!   contiguous row `k` once and updates `N` per-group accumulators,
+//!   which are added into row `m` of the output after each group. Every
+//!   output receives the same additions in the same order as the
+//!   modelled loop, so the result is bit-identical to it.
+//!
 //! The simulator's output is asserted against the reference GEMM in the
 //! test-suite, and its action counts anchor the analytical HighLight model.
 
@@ -301,126 +317,120 @@ impl MicroSim {
         let groups = a.cols() / group_words;
         let (m_dim, n_dim) = (a.rows(), b.cols());
 
-        // Both operand encodes happen exactly once, outside the (m, n)
-        // loops; every walk reads the flat compressed buffers.
         let a_comp = HssCompressed::encode(a, h1, h0);
         let b_comp = sparse_b.then(|| SparseB::encode(b, h1, h0));
 
-        // Two reusable flat prefix-sum buffers: per row, block and value
-        // starts are rebuilt in place (no per-row heap pairs) and shared
-        // by all N walks of that row. Each step then indexes
-        // `rank1_cp`/`values` directly instead of re-summing `block_nnz`
-        // per PE (which is quadratic in G1).
-        let mut block_start: Vec<u32> = Vec::with_capacity(groups + 1);
-        let mut value_start: Vec<u32> = Vec::new();
-
         let mut counts = MicroCounts::default();
-        let mut output = Matrix::zeros(m_dim, n_dim);
-        let mut first_walk = Vec::new();
 
         // Operand A loads: once per (m, g) — blocks stay stationary in PE
         // registers while B streams across n (HSS-operand stationary, §6.3.1).
+        let mut under_full = 0u64;
+        let g0 = cfg.macs_per_pe();
         for row in a_comp.rows() {
             counts.glb_a_value_reads += row.values.len() as u64;
             counts.glb_a_meta_reads +=
                 (row.rank0_cp.len() + row.rank1_cp.len() + row.group_blocks.len()) as u64;
+            under_full += row
+                .block_nnz
+                .iter()
+                .map(|&nnz| (g0 - usize::from(nnz).min(g0)) as u64)
+                .sum::<u64>();
         }
 
-        for (m, arow) in a_comp.rows().iter().enumerate() {
-            block_start.clear();
-            block_start.push(0);
-            let mut acc = 0u32;
-            for &nb in &arow.group_blocks {
-                acc += u32::from(nb);
-                block_start.push(acc);
-            }
-            value_start.clear();
-            value_start.push(0);
-            let mut acc = 0u32;
-            for &nnz in &arow.block_nnz {
-                acc += u32::from(nnz);
-                value_start.push(acc);
-            }
-            for n in 0..n_dim {
-                let record_trace = m == 0 && n == 0;
-                let bcol = b_comp.as_ref().map(|sb| &sb.columns()[n]);
-                let stream_len = match &bcol {
-                    None => b.rows(), // dense column: K words
-                    Some(col) => col.values.len(),
+        // --- VFMU: the walk over K depends only on B's column, so one walk
+        // per column stands for all M rows that stream it.
+        let mut first_walk = Vec::new();
+        let (mut b_meta, mut b_words, mut skips) = (0u64, 0u64, 0u64);
+        for n in 0..n_dim {
+            let bcol = b_comp.as_ref().map(|sb| &sb.columns()[n]);
+            let stream_len = match bcol {
+                None => b.rows(), // dense column: K words
+                Some(col) => col.values.len(),
+            };
+            let mut vfmu = VfmuState::new(stream_len);
+            for g in 0..groups {
+                let needed = match bcol {
+                    None => group_words,
+                    Some(col) => {
+                        // Level-1 metadata: nonzeros in this group's blocks.
+                        b_meta += 1;
+                        col.group_nnz[g] as usize
+                    }
                 };
-                let mut vfmu = VfmuState::new(stream_len);
+                let (fetched, skipped) = vfmu.ensure(needed);
+                b_words += fetched as u64;
+                let fetch_skipped = skipped && needed > 0;
+                skips += u64::from(fetch_skipped);
+                if n == 0 && m_dim > 0 {
+                    first_walk.push(StepTrace {
+                        group: g,
+                        shift_words: needed,
+                        fetched_words: fetched,
+                        fetch_skipped,
+                    });
+                }
+                vfmu.shift(needed);
+            }
+        }
+        // Per-value Rank0 offsets of sparse B are consumed once per walk.
+        if let Some(sb) = &b_comp {
+            b_meta += sb.nonzeros() as u64;
+        }
+        let m_rows = m_dim as u64;
+        counts.glb_b_meta_reads = b_meta * m_rows;
+        counts.glb_b_word_reads = b_words * m_rows;
+        counts.fetches_skipped = skips * m_rows;
 
-                for (g, &group_start) in block_start.iter().take(groups).enumerate() {
-                    // --- VFMU: determine the shift and perform the fetch.
-                    let (needed, meta_reads) = match &bcol {
-                        None => (group_words, 0u64),
-                        Some(col) => {
-                            // Level-1 metadata: nonzeros in this group's blocks.
-                            (col.group_nnz[g] as usize, 1u64)
+        // --- Rank1 + Rank0 SAFs and the MACs, N innermost: each stored A
+        // value meets B's contiguous row `k` once, feeding one accumulator
+        // per output column. A gated slot adds `+0.0`, which leaves an
+        // accumulator that starts at `+0.0` unchanged, so every output sees
+        // the same additions in the same order as the per-(m, n) walk.
+        let mut output = Matrix::zeros(m_dim, n_dim);
+        let mut acc = vec![0.0f32; n_dim];
+        let mut macs = 0u64;
+        for (m, arow) in a_comp.rows().iter().enumerate() {
+            let out_row = output.row_mut(m);
+            let (mut bi, mut vi) = (0usize, 0usize);
+            for (g, &nblocks) in arow.group_blocks.iter().enumerate() {
+                acc.fill(0.0);
+                for _ in 0..nblocks {
+                    let k_block = g * group_words + usize::from(arow.rank1_cp[bi]) * h0;
+                    let nnz = usize::from(arow.block_nnz[bi]);
+                    bi += 1;
+                    for (&a_val, &cp0) in arow.values[vi..vi + nnz]
+                        .iter()
+                        .zip(&arow.rank0_cp[vi..vi + nnz])
+                    {
+                        let k = k_block + usize::from(cp0);
+                        for (s, &b_val) in acc.iter_mut().zip(b.row(k)) {
+                            // Gating SAF: a zero B word idles its MAC (§6.4).
+                            let effectual = b_val != 0.0;
+                            *s += if effectual { a_val * b_val } else { 0.0 };
+                            macs += u64::from(effectual);
                         }
-                    };
-                    counts.glb_b_meta_reads += meta_reads;
-                    let (fetched, skipped) = vfmu.ensure(needed);
-                    counts.glb_b_word_reads += fetched as u64;
-                    if skipped && needed > 0 {
-                        counts.fetches_skipped += 1;
                     }
-                    // The VFMU always presents Hmax blocks (dummy padding for
-                    // H1 < Hmax, Fig. 11).
-                    counts.vfmu_words += (cfg.hmax1 as usize * h0) as u64;
-                    if record_trace {
-                        first_walk.push(StepTrace {
-                            group: g,
-                            shift_words: needed,
-                            fetched_words: fetched,
-                            fetch_skipped: skipped && needed > 0,
-                        });
-                    }
-                    vfmu.shift(needed);
-
-                    // --- Rank1 SAF: distribute non-empty blocks to PEs.
-                    let nblocks = arow.group_blocks[g] as usize;
-                    let bc = group_start as usize;
-                    let mut acc = 0.0f32;
-                    for pe in 0..nblocks {
-                        let cp1 = arow.rank1_cp[bc + pe] as usize;
-                        counts.mux_r1_selects += 1;
-                        let nnz = arow.block_nnz[bc + pe] as usize;
-                        let vbase = value_start[bc + pe] as usize;
-                        // --- Rank0 SAF: each MAC selects its B operand.
-                        for j in 0..nnz {
-                            let a_val = arow.values[vbase + j];
-                            let cp0 = arow.rank0_cp[vbase + j] as usize;
-                            counts.mux_r0_selects += 1;
-                            let k = g * group_words + cp1 * h0 + cp0;
-                            let b_val = b.get(k, n);
-                            if b_val != 0.0 {
-                                counts.macs += 1;
-                                acc += a_val * b_val;
-                            } else {
-                                // Gating SAF: MAC idles, cycle unchanged (§6.4).
-                                counts.gated_macs += 1;
-                            }
-                        }
-                        // Unused MAC slots in an under-full block are gated.
-                        counts.gated_macs +=
-                            (cfg.macs_per_pe() - nnz.min(cfg.macs_per_pe())) as u64;
-                    }
-
-                    // --- Spatial accumulation + RF update (1 read + 1 write).
-                    let cur = output.get(m, n);
-                    output.set(m, n, cur + acc);
-                    counts.rf_accesses += 2;
-                    counts.cycles += 1;
+                    vi += nnz;
+                }
+                // --- Spatial accumulation + RF update.
+                for (o, &s) in out_row.iter_mut().zip(&acc) {
+                    *o += s;
                 }
             }
         }
 
-        // Per-value Rank0 offsets of sparse B are consumed once per walk.
-        if let Some(sb) = &b_comp {
-            let offs: u64 = sb.columns().iter().map(|c| c.rank0_off.len() as u64).sum();
-            counts.glb_b_meta_reads += offs * m_dim as u64;
-        }
+        let cycles = m_rows * n_dim as u64 * groups as u64;
+        let n_cols = n_dim as u64;
+        counts.cycles = cycles;
+        counts.macs = macs;
+        counts.rf_accesses = 2 * cycles;
+        // The VFMU always presents Hmax blocks (dummy padding for
+        // H1 < Hmax, Fig. 11).
+        counts.vfmu_words = cycles * u64::from(cfg.hmax1) * h0 as u64;
+        counts.mux_r1_selects = n_cols * a_comp.nonempty_blocks() as u64;
+        counts.mux_r0_selects = n_cols * counts.glb_a_value_reads;
+        // Unused MAC slots in under-full blocks, plus zero B words.
+        counts.gated_macs = n_cols * under_full + (counts.mux_r0_selects - macs);
 
         MicroReport {
             output,

@@ -1,15 +1,11 @@
 //! Bit-packed occupancy words.
 //!
-//! The HSS kernels ask one question over and over: *which of these `H`
-//! consecutive positions are nonzero, and how many?* Packing a row's
-//! occupancy into `u64` words answers it with masked `count_ones()`
-//! popcounts and `trailing_zeros()` scans — 64 positions per step —
-//! instead of a branch per element. `check_hss`, the [`HssCompressed`]
-//! and [`SparseB`] encoders, and the `MicroSim` operand walks all drive
-//! off these helpers.
-//!
-//! [`HssCompressed`]: crate::format::HssCompressed
-//! [`SparseB`]: crate::format::SparseB
+//! [`check_hss`](crate::gen::check_hss) asks one question over and over:
+//! *how many of these `H` consecutive positions are nonzero?* Packing a
+//! row's occupancy into `u64` words answers it with masked
+//! `count_ones()` popcounts — 64 positions per step — instead of a
+//! branch per element. `check_hss` is the only user; the format encoders
+//! compact values branch-free without a bitmap.
 
 /// Packs the occupancy of `values` into `occ` (bit `i` set iff
 /// `values[i] != 0.0`). Resizes and clears `occ` as needed.
@@ -49,27 +45,6 @@ pub fn popcount_range(bits: &[u64], start: usize, len: usize) -> u32 {
     n
 }
 
-/// Calls `f(offset)` for every set bit in `bits[start..start + len]`, in
-/// ascending order, with `offset` relative to `start`.
-pub fn for_each_set_bit(bits: &[u64], start: usize, len: usize, mut f: impl FnMut(usize)) {
-    let end = start + len;
-    let last = (end - 1) / 64;
-    for (w, &word) in bits.iter().enumerate().take(last + 1).skip(start / 64) {
-        let lo = w * 64;
-        let mut x = word;
-        if lo < start {
-            x &= u64::MAX << (start - lo);
-        }
-        if lo + 64 > end {
-            x &= (1u64 << (end - lo)) - 1;
-        }
-        while x != 0 {
-            f(lo + x.trailing_zeros() as usize - start);
-            x &= x - 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,21 +78,6 @@ mod tests {
                 naive_count(&values, start, len),
                 "span ({start},{len})"
             );
-        }
-    }
-
-    #[test]
-    fn set_bit_iteration_is_ascending_and_exact() {
-        let values: Vec<f32> = (0..200)
-            .map(|i| if i % 5 == 2 { -1.0 } else { 0.0 })
-            .collect();
-        let mut occ = Vec::new();
-        pack_occupancy(&values, &mut occ);
-        for (start, len) in [(0, 200), (2, 3), (62, 10), (100, 100), (199, 1)] {
-            let mut got = Vec::new();
-            for_each_set_bit(&occ, start, len, |i| got.push(i));
-            let want: Vec<usize> = (0..len).filter(|&i| values[start + i] != 0.0).collect();
-            assert_eq!(got, want, "span ({start},{len})");
         }
     }
 

@@ -18,7 +18,6 @@
 
 use hl_fibertree::spec::Gh;
 
-use crate::bits;
 use crate::matrix::Matrix;
 
 fn ceil_log2(x: usize) -> u32 {
@@ -78,57 +77,59 @@ impl HssCompressed {
     /// [`hl_fibertree::spec::PatternSpec::check`].
     ///
     /// # Panics
-    /// Panics if `cols` is not a multiple of `h0 * h1`, or `h0`/`h1` exceed
-    /// 256 (CPs are stored in a byte).
+    /// Panics if `cols` is not a multiple of `h0 * h1`, or `h0`/`h1` are
+    /// outside `1..=255` (CPs and the per-block and per-group counts are
+    /// stored in a byte).
     pub fn encode(m: &Matrix, h1: usize, h0: usize) -> Self {
         let group = h1 * h0;
         assert!(
-            h0 >= 1 && h1 >= 1 && h0 <= 256 && h1 <= 256,
-            "H out of supported range"
+            (1..=255).contains(&h0) && (1..=255).contains(&h1),
+            "H0 and H1 must be in 1..=255 (CPs and counts are stored in a byte)"
         );
         assert!(
             m.cols().is_multiple_of(group),
             "cols must be a multiple of H1*H0"
         );
+        let cols = m.cols();
+        // Each row is compacted branch-free into scratch buffers sized
+        // once: every value and its offset is written unconditionally and
+        // the cursor advances only past nonzeros, as does the block
+        // cursor past non-empty blocks.
+        let mut values = vec![0.0f32; cols];
+        let mut rank0_cp = vec![0u8; cols];
+        let mut rank1_cp = vec![0u8; cols / h0];
+        let mut block_nnz = vec![0u8; cols / h0];
         let mut data = Vec::with_capacity(m.rows());
-        // One occupancy bitmap per row: block/group occupancy comes from
-        // masked popcounts and set-bit scans instead of a branch per
-        // element (values are pushed in the same ascending offset order
-        // the per-element scan produced).
-        let mut occ = Vec::new();
         for r in 0..m.rows() {
-            let values = m.row(r);
-            bits::pack_occupancy(values, &mut occ);
-            let mut row = HssRow {
-                values: Vec::new(),
-                rank0_cp: Vec::new(),
-                rank1_cp: Vec::new(),
-                block_nnz: Vec::new(),
-                group_blocks: Vec::new(),
-            };
-            for g in 0..m.cols() / group {
-                let mut nonempty = 0u8;
-                for b in 0..h1 {
-                    let base = g * group + b * h0;
-                    let mut nnz = 0u8;
-                    bits::for_each_set_bit(&occ, base, h0, |i| {
-                        row.values.push(values[base + i]);
-                        row.rank0_cp.push(i as u8);
-                        nnz += 1;
-                    });
-                    if nnz > 0 {
-                        row.rank1_cp.push(b as u8);
-                        row.block_nnz.push(nnz);
-                        nonempty += 1;
+            let mut group_blocks = Vec::with_capacity(cols / group);
+            let (mut vi, mut bi) = (0usize, 0usize);
+            for group_values in m.row(r).chunks_exact(group) {
+                let group_start = bi;
+                for (b, block) in group_values.chunks_exact(h0).enumerate() {
+                    let block_start = vi;
+                    for (off, &v) in block.iter().enumerate() {
+                        values[vi] = v;
+                        rank0_cp[vi] = off as u8;
+                        vi += usize::from(v != 0.0);
                     }
+                    let nnz = vi - block_start;
+                    rank1_cp[bi] = b as u8;
+                    block_nnz[bi] = nnz as u8;
+                    bi += usize::from(nnz != 0);
                 }
-                row.group_blocks.push(nonempty);
+                group_blocks.push((bi - group_start) as u8);
             }
-            data.push(row);
+            data.push(HssRow {
+                values: values[..vi].to_vec(),
+                rank0_cp: rank0_cp[..vi].to_vec(),
+                rank1_cp: rank1_cp[..bi].to_vec(),
+                block_nnz: block_nnz[..bi].to_vec(),
+                group_blocks,
+            });
         }
         Self {
             rows: m.rows(),
-            cols: m.cols(),
+            cols,
             h0,
             h1,
             data,
@@ -243,37 +244,37 @@ impl SparseB {
             "K must be a multiple of H1*H0"
         );
         let (k, n) = (m.rows(), m.cols());
-        let mut cols = Vec::with_capacity(n);
-        // Gather each strided column into a contiguous buffer once, then
-        // encode it from a bit-packed occupancy bitmap (same ascending K
-        // order per block as the per-element scan).
         let data = m.data();
-        let mut colbuf = vec![0.0f32; k];
-        let mut occ = Vec::new();
+        // Each column is compacted branch-free into scratch buffers sized
+        // once: every value and its offset is written unconditionally and
+        // the cursor advances only past nonzeros.
+        let mut values = vec![0.0f32; k];
+        let mut rank0_off = vec![0u8; k];
+        let mut cols = Vec::with_capacity(n);
         for c in 0..n {
-            for (i, slot) in colbuf.iter_mut().enumerate() {
-                *slot = data[i * n + c];
-            }
-            bits::pack_occupancy(&colbuf, &mut occ);
-            let mut v = SparseBVector {
-                values: Vec::new(),
-                group_nnz: Vec::new(),
-                block_end: Vec::new(),
-                rank0_off: Vec::new(),
-            };
+            let mut group_nnz = Vec::with_capacity(k / group);
+            let mut block_end = Vec::with_capacity(k / h0);
+            let mut vi = 0usize;
             for g in 0..k / group {
-                let start = v.values.len();
+                let group_start = vi;
                 for b in 0..h1 {
                     let base = g * group + b * h0;
-                    bits::for_each_set_bit(&occ, base, h0, |i| {
-                        v.values.push(colbuf[base + i]);
-                        v.rank0_off.push(i as u8);
-                    });
-                    v.block_end.push(v.values.len() as u32);
+                    for off in 0..h0 {
+                        let v = data[(base + off) * n + c];
+                        values[vi] = v;
+                        rank0_off[vi] = off as u8;
+                        vi += usize::from(v != 0.0);
+                    }
+                    block_end.push(vi as u32);
                 }
-                v.group_nnz.push((v.values.len() - start) as u32);
+                group_nnz.push((vi - group_start) as u32);
             }
-            cols.push(v);
+            cols.push(SparseBVector {
+                values: values[..vi].to_vec(),
+                group_nnz,
+                block_end,
+                rank0_off: rank0_off[..vi].to_vec(),
+            });
         }
         Self { k, n, h0, h1, cols }
     }
@@ -458,6 +459,31 @@ mod tests {
         let m = gen::random_unstructured(8, 64, 0.9, 3);
         let c = HssCompressed::encode(&m, 4, 4);
         assert_eq!(c.decode(), m);
+    }
+
+    #[test]
+    fn hss_full_255_value_block_and_group_roundtrip() {
+        // The per-block value count and the per-group block count are
+        // stored in a byte: 255 is the largest H either can reach.
+        let m = gen::random_dense(2, 255, 4);
+        let blocks = HssCompressed::encode(&m, 1, 255);
+        assert_eq!(blocks.rows()[0].block_nnz, vec![255]);
+        assert_eq!(blocks.decode(), m);
+        let groups = HssCompressed::encode(&m, 255, 1);
+        assert_eq!(groups.rows()[0].group_blocks, vec![255]);
+        assert_eq!(groups.decode(), m);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be in 1..=255")]
+    fn hss_rejects_h0_256() {
+        let _ = HssCompressed::encode(&gen::random_dense(1, 256, 4), 1, 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be in 1..=255")]
+    fn hss_rejects_h1_256() {
+        let _ = HssCompressed::encode(&gen::random_dense(1, 256, 4), 256, 1);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   coordinate-payload (CP) compression for HSS operand A (Fig. 9) and the
 //!   three-level metadata format for unstructured sparse operand B
 //!   (Fig. 12a) — with exact metadata bit accounting;
-//! - [`bits`]: the bit-packed occupancy words the conformance checks and
-//!   encoders use to process 64 positions per popcount instead of one per
-//!   branch.
+//! - [`bits`]: the bit-packed occupancy words the conformance check
+//!   (`gen::check_hss`) uses to count 64 positions per popcount instead of
+//!   one per branch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
